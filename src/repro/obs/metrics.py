@@ -79,7 +79,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms with snapshot/delta support."""
+    """Named counters, gauges and histograms with snapshot/delta support.
+
+    Safe to share between threads without a lock: get-or-create stores a
+    new metric with ``setdefault``, so racing first registrations of one
+    name all get the one stored instance, and the reports iterate copies
+    of the name maps, so a name registered meanwhile cannot break them.
+    """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
@@ -91,19 +97,19 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
         if c is None:
-            c = self._counters[name] = Counter(name)
+            c = self._counters.setdefault(name, Counter(name))
         return c
 
     def gauge(self, name: str) -> Gauge:
         g = self._gauges.get(name)
         if g is None:
-            g = self._gauges[name] = Gauge(name)
+            g = self._gauges.setdefault(name, Gauge(name))
         return g
 
     def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(name)
+            h = self._histograms.setdefault(name, Histogram(name))
         return h
 
     # -- engine helpers ----------------------------------------------------------
@@ -131,11 +137,11 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, float]:
         """A flat name → value map of everything recorded so far."""
         out: dict[str, float] = {}
-        for name, c in self._counters.items():
+        for name, c in list(self._counters.items()):
             out[name] = c.value
-        for name, g in self._gauges.items():
+        for name, g in list(self._gauges.items()):
             out[name] = g.value
-        for name, h in self._histograms.items():
+        for name, h in list(self._histograms.items()):
             out[f"{name}.count"] = h.count
             out[f"{name}.total"] = h.total
             if h.min is not None:
@@ -165,14 +171,13 @@ class MetricsRegistry:
     def render(self) -> list[str]:
         """Human-readable lines, grouped and sorted by name."""
         lines = []
-        for name in sorted(self._counters):
-            lines.append(f"{name}: {self._counters[name].value}")
-        for name in sorted(self._gauges):
-            value = self._gauges[name].value
+        for name, c in sorted(self._counters.items()):
+            lines.append(f"{name}: {c.value}")
+        for name, g in sorted(self._gauges.items()):
+            value = g.value
             text = f"{value:.3f}" if isinstance(value, float) and value != int(value) else f"{value:g}"
             lines.append(f"{name}: {text}")
-        for name in sorted(self._histograms):
-            h = self._histograms[name]
+        for name, h in sorted(self._histograms.items()):
             lines.append(
                 f"{name}: n={h.count} mean={h.mean:.2f} "
                 f"min={h.min if h.min is not None else '-'} "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cost.estimates import DagEstimator
 from repro.cost.model import CostConfig
@@ -19,6 +20,12 @@ from repro.workload.paperdb import (
     problem_dept_tree,
 )
 from repro.workload.transactions import paper_transactions
+
+# Every Hypothesis failure prints a @reproduce_failure blob that replays it
+# exactly. Exploration stays random; per-test @settings still set
+# max_examples and deadline.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(scope="session")

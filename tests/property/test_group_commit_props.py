@@ -20,7 +20,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.compile import columnar_available, set_default_backend
@@ -162,6 +162,9 @@ class TestGroupCommitIsSerial:
         n_clients=st.integers(min_value=2, max_value=4),
         per_client=st.integers(min_value=1, max_value=5),
     )
+    # A client with no employees left emits nothing on a "fire" step, so
+    # streams can run short: this case yields lengths 5, 5, 5, 4.
+    @example(seed=2, n_clients=4, per_client=5)
     def test_concurrent_equals_recorded_serial_schedule(
         self, policy, backend, seed, n_clients, per_client
     ):
@@ -179,7 +182,7 @@ class TestGroupCommitIsSerial:
         assert _state(oracle) == _state(engine)
         assert _batch_signature(oracle_records) == _batch_signature(batches)
         assert oracle.db.counter.snapshot() == engine.db.counter.snapshot()
-        assert report.submitted == n_clients * per_client
+        assert report.submitted == sum(len(s) for s in streams)
 
     @pytest.mark.parametrize("policy", ["immediate", "deferred", "enforce"])
     @settings(max_examples=2, deadline=None)

@@ -5,6 +5,9 @@ the same monotonic :class:`IOCounter` the engine charges, so span totals
 tie out *bit-exactly* to commit attribution — no sampling, no estimates.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.constraints.assertions import AssertionViolation
@@ -209,6 +212,49 @@ class TestMetricsRegistry:
         lines = m.render()
         assert lines[0].startswith("a:")
         assert lines[1].startswith("b:")
+
+    def test_reports_survive_concurrent_registration(self):
+        """Regression: the server reads metrics on an executor thread while
+        the committer registers new names; iterating the live dicts raised
+        "dictionary changed size during iteration"."""
+        m = MetricsRegistry()
+        done = threading.Event()
+        errors: list[Exception] = []
+
+        def register():
+            # Fresh names every round; reset() keeps the maps small so the
+            # reports stay cheap.
+            i = 0
+            while not done.is_set():
+                m.counter(f"c{i}").inc()
+                m.gauge(f"g{i}").set(i)
+                m.histogram(f"h{i}").observe(i)
+                i += 1
+                if i % 500 == 0:
+                    m.reset()
+
+        def report():
+            try:
+                for _ in range(2_000):
+                    m.since(m.snapshot())
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-3)
+        try:
+            threads = [threading.Thread(target=register), threading.Thread(target=report)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
 
 
 class TestEngineTracing:
